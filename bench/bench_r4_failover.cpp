@@ -106,6 +106,7 @@ RunOutcome run_failover(int scenario, std::uint64_t seed) {
     std::unique_ptr<groupware::SessionGroup> sg;
     std::vector<std::string> log;
     std::vector<std::pair<sim::TimePoint, std::uint64_t>> installed;
+    std::uint64_t sent = 0;  ///< broadcasts this site has made
   };
   std::vector<net::NodeId> roster;
   for (net::NodeId n = 1; n <= kNodes; ++n) roster.push_back(n);
@@ -141,10 +142,17 @@ RunOutcome run_failover(int scenario, std::uint64_t seed) {
   // post-failover liveness round — all five sites broadcasting.
   const auto round_at = [&](sim::TimePoint t, int i) {
     for (net::NodeId n = 1; n <= kNodes; ++n) {
-      sim.schedule_at(t, [&parts, n, i] {
+      sim.schedule_at(t, [&parts, &inv, n, i] {
         Part& p = parts[static_cast<std::size_t>(n - 1)];
-        if (p.sg) {
-          p.sg->broadcast("m" + std::to_string(n) + "-" + std::to_string(i));
+        if (!p.sg) return;
+        // broadcast() returns the site's per-sender sequence number, one
+        // past its previous broadcast.
+        const std::uint64_t seq =
+            p.sg->broadcast("m" + std::to_string(n) + "-" + std::to_string(i));
+        if (seq != ++p.sent) {
+          inv.report_violation("broadcast seq " + std::to_string(seq) +
+                               " at n" + std::to_string(n) + ", expected " +
+                               std::to_string(p.sent));
         }
       });
     }

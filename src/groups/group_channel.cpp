@@ -80,6 +80,12 @@ void GroupChannel::set_members(const std::vector<net::Address>& members) {
   self_index_ = static_cast<std::size_t>(it - members_.begin());
 }
 
+std::size_t GroupChannel::dedupe_runs() const noexcept {
+  std::size_t runs = 0;
+  for (const util::SeqRuns& s : seen_) runs += s.runs();
+  return runs;
+}
+
 bool GroupChannel::is_sequencer() const noexcept {
   // The lowest-numbered live slot sequences; failure promotes the next.
   for (std::size_t i = 0; i < alive_.size(); ++i) {
@@ -100,11 +106,8 @@ void GroupChannel::take_over_sequencing() {
   // per sender jump over messages lost with the old sequencer.
   resync_ = true;
   next_total_seq_ = 1;
-  for (std::size_t s = 0; s < seen_.size(); ++s) {
-    std::uint64_t next = next_req_[s];
-    while (seen_[s].count(next) != 0) ++next;
-    next_req_[s] = next;
-  }
+  for (std::size_t s = 0; s < seen_.size(); ++s)
+    next_req_[s] = seen_[s].next_absent(next_req_[s]);
   if (total_replay()) begin_recovery();
 }
 
@@ -332,7 +335,6 @@ void GroupChannel::finish_recovery() {
 
 void GroupChannel::resequence(std::uint32_t sender, std::uint64_t seq,
                               sim::TimePoint sent_at, std::string payload) {
-  obs::Tracer& tracer = net_.obs().tracer;
   next_req_[sender] = std::max(next_req_[sender], seq + 1);
   const bool already_delivered_here = seen_[sender].count(seq) != 0;
   seen_[sender].insert(seq);
@@ -417,7 +419,7 @@ std::uint64_t GroupChannel::broadcast(std::string payload,
     const std::size_t seq_slot = sequencer_slot();
     Pending p;
     p.wire = wire;
-    p.awaiting = {seq_slot};
+    p.awaiting.insert(seq_slot);
     p.is_total_req = true;
     p.deadline = deadline;
     p.ctx = bctx;
@@ -527,8 +529,8 @@ void GroupChannel::arm_retransmit(std::uint64_t key) {
         // Unicast retransmission to just the members still missing.  Each
         // resend is a child of the broadcast span; `waited` is the ack
         // timeout that lapsed first — the critical-path "retry" bucket.
-        for (std::size_t slot : p.awaiting) {
-          if (!alive_[slot]) continue;
+        p.awaiting.for_each([&](std::size_t slot) {
+          if (!alive_[slot]) return;
           ++stats_.retransmits;
           const obs::CausalContext rctx =
               p.ctx.valid() ? p.ctx.child(tracer.mint_id())
@@ -543,7 +545,7 @@ void GroupChannel::arm_retransmit(std::uint64_t key) {
           net_.send({.src = self_, .dst = members_[slot], .payload = p.wire,
                      .deadline = p.deadline, .priority = config_.priority,
                      .ctx = rctx});
-        }
+        });
         arm_retransmit(key);
       });
 }
@@ -559,7 +561,7 @@ void GroupChannel::mark_failed(const net::Address& member) {
 
   for (auto pit = pending_.begin(); pit != pending_.end();) {
     Pending& p = pit->second;
-    if (p.is_total_req && p.awaiting.count(slot) != 0 && was_sequencer) {
+    if (p.is_total_req && p.awaiting.contains(slot) && was_sequencer) {
       // Re-route the ordering request to the promoted sequencer.
       p.awaiting.erase(slot);
       if (new_seq_slot < members_.size() && new_seq_slot != self_index_) {
@@ -869,7 +871,7 @@ void GroupChannel::handle_data(const net::Message& msg) {
     return;
   }
 
-  if (!seen_[sender].insert(seq).second) {
+  if (!seen_[sender].insert(seq)) {
     ++stats_.duplicates;
     return;
   }

@@ -22,6 +22,8 @@
 // compacted — so vector-clock components never need remapping mid-session.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -33,6 +35,7 @@
 
 #include "net/network.hpp"
 #include "time/logical_clocks.hpp"
+#include "util/seq_runs.hpp"
 
 namespace coop::groups {
 
@@ -182,6 +185,9 @@ class GroupChannel : public net::Endpoint {
     return members_.size();
   }
   [[nodiscard]] bool is_sequencer() const noexcept;
+  /// Runs held by the dedupe state, summed over senders: one per sender
+  /// once its sequence numbers are gap-free, plus one per remaining gap.
+  [[nodiscard]] std::size_t dedupe_runs() const noexcept;
 
   void on_message(const net::Message& msg) override;
 
@@ -194,9 +200,51 @@ class GroupChannel : public net::Endpoint {
     kRecover = 5,   ///< member -> new sequencer: tail + un-relayed requests
   };
 
+  /// Set of member slots as a bitmask: slots below 64 live inline (no
+  /// allocation), larger groups spill into heap words.  for_each visits
+  /// slots in ascending order, as iterating a std::set would.
+  class SlotMask {
+   public:
+    void insert(std::size_t slot) { word(slot / 64) |= bit(slot); }
+    /// Clears @p slot (a slot from the wire may lie past every word).
+    void erase(std::size_t slot) {
+      if (contains(slot)) word(slot / 64) &= ~bit(slot);
+    }
+    [[nodiscard]] bool contains(std::size_t slot) const {
+      return (get(slot / 64) & bit(slot)) != 0;
+    }
+    [[nodiscard]] bool empty() const {
+      return low_ == 0 && std::all_of(high_.begin(), high_.end(),
+                                      [](std::uint64_t w) { return w == 0; });
+    }
+    template <typename Fn>
+    void for_each(Fn&& fn) const {
+      for (std::size_t w = 0; w <= high_.size(); ++w) {
+        for (std::uint64_t bits = get(w); bits != 0; bits &= bits - 1)
+          fn(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+      }
+    }
+
+   private:
+    static std::uint64_t bit(std::size_t slot) {
+      return std::uint64_t{1} << (slot % 64);
+    }
+    [[nodiscard]] std::uint64_t get(std::size_t w) const {
+      if (w == 0) return low_;
+      return w <= high_.size() ? high_[w - 1] : 0;
+    }
+    std::uint64_t& word(std::size_t w) {
+      if (w == 0) return low_;
+      if (high_.size() < w) high_.resize(w, 0);
+      return high_[w - 1];
+    }
+    std::uint64_t low_ = 0;            ///< slots 0..63
+    std::vector<std::uint64_t> high_;  ///< slots 64.. (large groups only)
+  };
+
   struct Pending {  // sender side: awaiting acks
     util::Buf wire;                  ///< encoded DATA, shared by resends
-    std::set<std::size_t> awaiting;  ///< member slots yet to ack
+    SlotMask awaiting;               ///< member slots yet to ack
     int retries = 0;
     sim::EventId timer = sim::kInvalidEvent;
     bool is_total_req = false;       ///< re-route to new sequencer on fail
@@ -244,7 +292,7 @@ class GroupChannel : public net::Endpoint {
   std::uint64_t next_seq_ = 1;                   // own per-sender seq
   std::map<std::uint64_t, Pending> pending_;     // own unacked broadcasts
   std::vector<std::uint64_t> next_expected_;     // FIFO: per-sender cursor
-  std::vector<std::set<std::uint64_t>> seen_;    // dedupe per sender
+  std::vector<util::SeqRuns> seen_;              // dedupe per sender
   std::deque<HeldBack> holdback_;
   logical::VectorClock vclock_;                  // causal state
 

@@ -174,7 +174,7 @@ void ShardedEngine::send(const ShardMsg& m) {
     return;
   }
   const TimePoint floor = saturating_after(src.now(), cfg_.lookahead);
-  if (m.at < floor) ++lookahead_violations_;
+  if (m.at < floor) ++src.lookahead_violations_;
   src.outbox_.push_back(m);
 }
 

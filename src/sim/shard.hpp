@@ -159,6 +159,9 @@ class ShardSim {
   std::uint64_t processed_ = 0;
   std::uint32_t shard_;
   Rng rng_;
+  /// Cross-shard sends from this shard that broke the lookahead contract.
+  /// Per shard because send() runs on the source shard's worker thread.
+  std::uint64_t lookahead_violations_ = 0;
 };
 
 /// The sharded kernel: owns the shards, drives the epoch protocol and the
@@ -252,7 +255,9 @@ class ShardedEngine {
   }
   /// Cross-shard sends that broke the lookahead contract (see send()).
   [[nodiscard]] std::uint64_t lookahead_violations() const noexcept {
-    return lookahead_violations_;
+    std::uint64_t total = 0;
+    for (const auto& s : shards_) total += s->lookahead_violations_;
+    return total;
   }
 
  private:
@@ -277,7 +282,6 @@ class ShardedEngine {
   void* epoch_ctx_ = nullptr;
   std::uint64_t epochs_ = 0;
   std::uint64_t cross_msgs_ = 0;
-  std::uint64_t lookahead_violations_ = 0;
 
   // Worker pool (lazily started; idle when cfg_.threads <= 1).  The
   // coordinating thread takes worker slot 0's shard set itself.

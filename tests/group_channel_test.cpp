@@ -39,6 +39,16 @@ class Harness {
     }
   }
 
+  /// Every member broadcasts once per 10 ms round, staggered by 1 µs.
+  void schedule_rounds(int rounds) {
+    for (int i = 0; i < rounds; ++i) {
+      for (std::size_t m = 0; m < members.size(); ++m) {
+        sim.schedule_at(sim::msec(10 * i) + static_cast<sim::TimePoint>(m),
+                        [this, m] { members[m]->chan->broadcast("x"); });
+      }
+    }
+  }
+
   std::vector<std::string> payloads(std::size_t member) const {
     std::vector<std::string> out;
     for (const auto& d : members[member]->log) out.push_back(d.payload);
@@ -213,6 +223,35 @@ TEST(GroupChannel, MarkFailedStopsRetransmissionToDeadMember) {
   h.sim.run_until(sim::sec(2));
   EXPECT_EQ(h.members[0]->chan->stats().retransmits, after);
   EXPECT_LE(after, before + 1);
+}
+
+TEST(GroupChannel, GroupWiderThanSixtyFourSlotsAcksAndFailsOver) {
+  // Ack bookkeeping past slot 63 (the inline word of the slot mask):
+  // acks from high slots clear them, and a failed high slot stops
+  // retransmission instead of exhausting it.
+  const std::size_t n = 70;
+  Harness h(n, {.ordering = Ordering::kFifo,
+                .retransmit_timeout = sim::msec(20),
+                .max_retransmits = 50});
+  h.net.set_default_link({.latency = sim::msec(2), .jitter = sim::msec(1),
+                          .bandwidth_bps = 10e6, .loss = 0.2});
+  const std::size_t dead = 65;
+  h.net.crash(static_cast<net::NodeId>(dead + 1));
+  for (auto& m : h.members)
+    m->chan->mark_failed(h.members[dead]->chan->self());
+  for (int i = 0; i < 5; ++i) {
+    h.members[0]->chan->broadcast("lo" + std::to_string(i));
+    h.members[n - 1]->chan->broadcast("hi" + std::to_string(i));
+  }
+  h.sim.run();
+  for (std::size_t m = 0; m < n; ++m) {
+    if (m == dead) continue;
+    EXPECT_EQ(h.members[m]->log.size(), 10u) << "member " << m;
+  }
+  for (std::size_t m : {std::size_t{0}, n - 1}) {
+    EXPECT_EQ(h.members[m]->chan->stats().gave_up, 0u);
+    EXPECT_GT(h.members[m]->chan->stats().retransmits, 0u);
+  }
 }
 
 TEST(GroupChannel, GivesUpAfterMaxRetransmits) {
@@ -417,6 +456,54 @@ TEST(GroupChannel, SequencerCrashWithConcurrentSendersConverges) {
     for (std::size_t m = 1; m < 4; ++m)
       EXPECT_EQ(h.members[m]->chan->stats().failover_lost, 0u);
   }
+}
+
+// Dedupe state stays bounded: per-sender sequence numbers are dense, so
+// once a lossy session drains, every member's seen set is one run per
+// sender — no matter how many broadcasts went through.
+class BoundedDedupe : public ::testing::TestWithParam<Ordering> {};
+
+TEST_P(BoundedDedupe, OneRunPerSenderAfterLossySessionDrains) {
+  const std::size_t n = 8;
+  const int per_member = 2000;
+  Harness h(n, {.ordering = GetParam()}, 7);
+  h.net.set_default_link({.latency = sim::msec(4), .jitter = sim::msec(3),
+                          .bandwidth_bps = 10e6, .loss = 0.05});
+  h.schedule_rounds(per_member);
+  h.sim.run();
+  for (std::size_t m = 0; m < n; ++m) {
+    const GroupChannel& chan = *h.members[m]->chan;
+    EXPECT_EQ(h.members[m]->log.size(), n * per_member) << "member " << m;
+    EXPECT_EQ(chan.dedupe_runs(), chan.member_count()) << "member " << m;
+  }
+  EXPECT_GT(h.members[0]->chan->stats().retransmits, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllOrderings, BoundedDedupe,
+                         ::testing::Values(Ordering::kUnordered,
+                                           Ordering::kFifo, Ordering::kCausal,
+                                           Ordering::kTotal));
+
+TEST(GroupChannel, ExpiredRequestsLeaveAtMostOneGapEach) {
+  // A request the sequencer drops expired is never delivered, so members
+  // other than the sequencer keep a hole at its seq: each drop may split
+  // one run, never more.
+  const std::size_t n = 8;
+  Harness h(n, {.ordering = Ordering::kTotal,
+                .broadcast_deadline = sim::msec(6)},
+            3);
+  h.net.set_default_link({.latency = sim::msec(4), .jitter = sim::msec(3),
+                          .bandwidth_bps = 10e6, .loss = 0.0});
+  h.schedule_rounds(200);
+  h.sim.run();
+  const std::uint64_t drops = h.members[0]->chan->stats().expired_drops;
+  ASSERT_GT(drops, 0u);
+  for (std::size_t m = 0; m < n; ++m) {
+    const GroupChannel& chan = *h.members[m]->chan;
+    EXPECT_LE(chan.dedupe_runs(), n + drops) << "member " << m;
+    EXPECT_EQ(h.members[m]->log.size(), n * 200 - drops) << "member " << m;
+  }
+  EXPECT_EQ(h.members[0]->chan->dedupe_runs(), n);  // sequencer: no holes
 }
 
 // Property sweep: for every ordering mode and several seeds, all members

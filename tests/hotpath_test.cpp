@@ -4,6 +4,7 @@
 // zero-allocation steady-state guarantee.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
@@ -38,13 +39,16 @@
 #endif
 
 namespace {
-std::uint64_t g_alloc_count = 0;
+// Relaxed atomic: operator new also runs on other threads (the sharded
+// kernel's workers), and only the count matters, not any ordering.
+std::atomic<std::uint64_t> g_alloc_count{0};
 }  // namespace
 
 #if COOP_COUNT_ALLOCS
 namespace {
+void count_alloc() { g_alloc_count.fetch_add(1, std::memory_order_relaxed); }
 void* counted_alloc(std::size_t n) {
-  ++g_alloc_count;
+  count_alloc();
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
@@ -53,11 +57,11 @@ void* counted_alloc(std::size_t n) {
 void* operator new(std::size_t n) { return counted_alloc(n); }
 void* operator new[](std::size_t n) { return counted_alloc(n); }
 void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  ++g_alloc_count;
+  count_alloc();
   return std::malloc(n ? n : 1);
 }
 void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  ++g_alloc_count;
+  count_alloc();
   return std::malloc(n ? n : 1);
 }
 void operator delete(void* p) noexcept { std::free(p); }
@@ -453,12 +457,13 @@ TEST(ZeroAllocTest, SteadyStateUnicastPathDoesNotTouchTheHeap) {
     sim.run();
   }
 
-  const std::uint64_t before = g_alloc_count;
+  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
   for (int i = 0; i < 256; ++i) {
     net.send({.src = {1, 1}, .dst = {2, 1}, .payload = payload});
     sim.run();
   }
-  const std::uint64_t allocs = g_alloc_count - before;
+  const std::uint64_t allocs =
+      g_alloc_count.load(std::memory_order_relaxed) - before;
   EXPECT_EQ(allocs, 0u) << "steady-state unicast performed " << allocs
                         << " heap allocations across 256 deliveries";
   EXPECT_EQ(sink.count, 128u + 256u);

@@ -75,7 +75,9 @@ TEST(CodecProperty, RandomGarbageNeverCrashesAndAlwaysTerminates) {
         case 2: r.get_bytes(); break;
         default: r.get_vector<std::uint32_t>(); break;
       }
-      if (was_failed) EXPECT_TRUE(r.failed());  // sticky
+      if (was_failed) {
+        EXPECT_TRUE(r.failed());  // sticky
+      }
       was_failed = r.failed();
     }
     EXPECT_LE(r.remaining(), garbage.size());

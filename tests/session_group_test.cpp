@@ -73,8 +73,9 @@ class SessionGroupTest : public ::testing::Test {
 
 TEST_F(SessionGroupTest, BroadcastsDeliverIdenticallyToAllParticipants) {
   join_all_and_settle();
+  // broadcast() returns the sender's per-channel sequence number.
   for (std::size_t i = 0; i < parts.size(); ++i)
-    parts[i]->sg->broadcast("hello" + std::to_string(i));
+    EXPECT_EQ(parts[i]->sg->broadcast("hello" + std::to_string(i)), 1u);
   sim.run_until(sim::sec(2));
   ASSERT_EQ(parts[0]->log.size(), 5u);
   for (auto& p : parts) EXPECT_EQ(p->log, parts[0]->log);
@@ -89,7 +90,7 @@ TEST_F(SessionGroupTest, MemberCrashIsWiredIntoChannelAutomatically) {
   for (std::size_t i = 0; i + 1 < parts.size(); ++i) {
     EXPECT_FALSE(parts[i]->sg->member().view()->contains({5, 1}));
   }
-  parts[0]->sg->broadcast("after-crash");
+  EXPECT_EQ(parts[0]->sg->broadcast("after-crash"), 1u);
   sim.run_until(sim::sec(5));
   for (std::size_t i = 0; i + 1 < parts.size(); ++i) {
     ASSERT_FALSE(parts[i]->log.empty());
@@ -107,7 +108,7 @@ TEST_F(SessionGroupTest, SurvivesCoordinatorAndSequencerCrashingTogether) {
 
   // Warm traffic, then node 1 — the total-order sequencer — and the
   // membership coordinator die in the same incident.
-  for (auto& p : parts) p->sg->broadcast("pre");
+  for (auto& p : parts) EXPECT_EQ(p->sg->broadcast("pre"), 1u);
   sim.run_until(sim::msec(1200));
   net.crash(100);
   net.crash(1);
@@ -127,7 +128,7 @@ TEST_F(SessionGroupTest, SurvivesCoordinatorAndSequencerCrashingTogether) {
   // Post-failover traffic still totally ordered, and nothing a survivor
   // sent was lost across the double crash.
   for (std::size_t i = 1; i < parts.size(); ++i)
-    parts[i]->sg->broadcast("post" + std::to_string(i));
+    EXPECT_EQ(parts[i]->sg->broadcast("post" + std::to_string(i)), 2u);
   sim.run_until(sim::sec(10));
   const auto& ref = parts[1]->log;
   for (std::size_t i = 2; i < parts.size(); ++i) {
@@ -156,7 +157,7 @@ TEST_F(SessionGroupTest, EvictedParticipantIsSilencedOnceItLearns) {
   sim.run_until(sim::sec(4));
   EXPECT_TRUE(parts[4]->sg->excluded());
   const std::size_t before = parts[4]->log.size();
-  parts[0]->sg->broadcast("members-only");
+  EXPECT_EQ(parts[0]->sg->broadcast("members-only"), 1u);
   sim.run_until(sim::sec(6));
   // Delivered to the four members, suppressed at the evictee.
   for (std::size_t i = 0; i < 4; ++i)

@@ -530,6 +530,29 @@ TEST(ShardedEngine, LookaheadViolationsAreCountedNotFatal) {
   EXPECT_EQ(got, 5u);  // still delivered
 }
 
+TEST(ShardedEngine, LookaheadViolationsFromWorkerThreadsAreAllCounted) {
+  // Every shard sends late cross-shard messages in the same epoch, on
+  // its own worker thread: each shard counts its own, so no increment is
+  // lost (and nothing is shared between the workers to race on).
+  ShardedConfig cfg;
+  cfg.shards = 4;
+  cfg.threads = 4;
+  cfg.lookahead = msec(10);
+  ShardedEngine eng(cfg);
+  eng.set_msg_handler([](void*, const ShardMsg&) {}, nullptr);
+  constexpr int kPerShard = 500;
+  for (std::uint16_t s = 0; s < 4; ++s) {
+    for (int i = 0; i < kPerShard; ++i) {
+      eng.shard(s).schedule_at(usec(i), [&eng, s] {
+        const auto dst = static_cast<std::uint16_t>((s + 1) % 4);
+        eng.send(ShardMsg{eng.shard(s).now() + usec(1), s, dst, s, dst, 0, 0});
+      });
+    }
+  }
+  eng.run_until(msec(20));
+  EXPECT_EQ(eng.lookahead_violations(), 4u * kPerShard);
+}
+
 TEST(ShardedEngine, RunDrainsToQuiescence) {
   ShardedConfig cfg;
   cfg.shards = 4;

@@ -1,11 +1,17 @@
-// Unit tests for serialization and statistics utilities.
+// Unit tests for serialization, statistics and sequence-set utilities.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <numeric>
+#include <random>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "util/codec.hpp"
+#include "util/seq_runs.hpp"
 #include "util/stats.hpp"
 
 namespace coop::util {
@@ -218,6 +224,127 @@ TEST(Codec, TakeEmptiesTheWriter) {
   // The storage moved out: a stale Writer can no longer silently
   // re-serialize its old bytes.
   EXPECT_EQ(w.size(), 0u);
+}
+
+// --- SeqRuns vs std::set<uint64_t> differential --------------------------
+//
+// The oracle is the standard container SeqRuns replaces; the run count is
+// recomputed from the oracle by walking its values.
+
+/// Maximal runs of consecutive values in @p set.
+std::size_t oracle_runs(const std::set<std::uint64_t>& set) {
+  std::size_t runs = 0;
+  std::uint64_t prev = 0;
+  for (std::uint64_t v : set) {
+    if (runs == 0 || v != prev + 1) ++runs;
+    prev = v;
+  }
+  return runs;
+}
+
+/// `while (count(v)) ++v;` against the oracle.
+std::uint64_t oracle_next_absent(const std::set<std::uint64_t>& set,
+                                 std::uint64_t v) {
+  while (set.count(v) != 0) ++v;
+  return v;
+}
+
+/// Inserts @p values one by one into both sets, comparing every insert
+/// result and, after each insert, count() over [lo, hi], next_absent() at
+/// the inserted value and the run count.
+void differential(const std::vector<std::uint64_t>& values, std::uint64_t lo,
+                  std::uint64_t hi) {
+  SeqRuns runs;
+  std::set<std::uint64_t> oracle;
+  for (std::uint64_t v : values) {
+    ASSERT_EQ(runs.insert(v), oracle.insert(v).second) << "insert " << v;
+    for (std::uint64_t x = lo;; ++x) {
+      ASSERT_EQ(runs.count(x), oracle.count(x)) << "count " << x;
+      if (x == hi) break;
+    }
+    ASSERT_EQ(runs.next_absent(v), oracle_next_absent(oracle, v));
+    ASSERT_EQ(runs.next_absent(lo), oracle_next_absent(oracle, lo));
+    ASSERT_EQ(runs.runs(), oracle_runs(oracle));
+  }
+}
+
+std::vector<std::uint64_t> iota_values(std::uint64_t first, std::size_t n) {
+  std::vector<std::uint64_t> v(n);
+  std::iota(v.begin(), v.end(), first);
+  return v;
+}
+
+TEST(SeqRuns, InOrderInsertsCollapseToOneRun) {
+  differential(iota_values(1, 200), 0, 202);
+  SeqRuns runs;
+  for (std::uint64_t v = 1; v <= 10000; ++v) ASSERT_TRUE(runs.insert(v));
+  EXPECT_EQ(runs.runs(), 1u);
+  EXPECT_EQ(runs.next_absent(1), 10001u);
+}
+
+TEST(SeqRuns, ReversedInsertsMatchSet) {
+  auto v = iota_values(1, 200);
+  std::reverse(v.begin(), v.end());
+  differential(v, 0, 202);
+}
+
+TEST(SeqRuns, ShuffledInsertsWithDuplicatesMatchSet) {
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    std::mt19937_64 rng(seed);
+    auto v = iota_values(1, 150);
+    // Every value twice (retransmitted copies), plus random repeats.
+    v.insert(v.end(), v.begin(), v.end());
+    for (int i = 0; i < 100; ++i) v.push_back(1 + rng() % 150);
+    std::shuffle(v.begin(), v.end(), rng);
+    differential(v, 0, 152);
+  }
+}
+
+TEST(SeqRuns, RandomSparseStreamsMatchSet) {
+  // Values drawn from a small window so gaps open and close repeatedly.
+  for (std::uint64_t seed : {11u, 22u, 33u}) {
+    std::mt19937_64 rng(seed);
+    std::vector<std::uint64_t> v;
+    for (int i = 0; i < 300; ++i) v.push_back(1000 + rng() % 120);
+    differential(v, 990, 1130);
+  }
+}
+
+TEST(SeqRuns, GapsFillLaterAndMergeOnBothSides) {
+  SeqRuns runs;
+  for (std::uint64_t v : {1u, 2u, 3u, 7u, 8u, 12u}) runs.insert(v);
+  EXPECT_EQ(runs.runs(), 3u);  // [1,3] [7,8] [12,12]
+  EXPECT_TRUE(runs.insert(5));  // isolated in the middle of a gap
+  EXPECT_EQ(runs.runs(), 4u);
+  EXPECT_TRUE(runs.insert(4));  // bridges [1,3] and [5,5]
+  EXPECT_EQ(runs.runs(), 3u);
+  EXPECT_TRUE(runs.insert(6));  // bridges [1,5] and [7,8]
+  EXPECT_EQ(runs.runs(), 2u);
+  EXPECT_TRUE(runs.insert(11));  // extends [12,12] downwards
+  EXPECT_TRUE(runs.insert(9));   // extends [1,8] upwards
+  EXPECT_EQ(runs.runs(), 2u);
+  EXPECT_TRUE(runs.insert(10));  // closes the last gap
+  EXPECT_EQ(runs.runs(), 1u);
+  EXPECT_FALSE(runs.insert(6));
+  EXPECT_EQ(runs.next_absent(3), 13u);
+  EXPECT_EQ(runs.next_absent(0), 0u);
+  differential({1, 2, 3, 7, 8, 12, 5, 4, 6, 11, 9, 10, 6}, 0, 14);
+}
+
+TEST(SeqRuns, TopOfRangeDoesNotOverflow) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  differential({kMax, kMax - 2, kMax - 1, kMax, kMax - 4}, kMax - 6, kMax);
+  SeqRuns runs;
+  EXPECT_TRUE(runs.insert(kMax));
+  EXPECT_FALSE(runs.insert(kMax));
+  EXPECT_EQ(runs.count(0), 0u);  // hi + 1 must not wrap into a false hit
+  EXPECT_TRUE(runs.insert(0));
+  EXPECT_EQ(runs.runs(), 2u);   // 0 and UINT64_MAX are not adjacent
+  EXPECT_TRUE(runs.insert(kMax - 1));
+  EXPECT_EQ(runs.runs(), 2u);
+  // Past the top, the scan wraps exactly as ++ would, and skips the run
+  // at 0 too.
+  EXPECT_EQ(runs.next_absent(kMax - 1), 1u);
 }
 
 }  // namespace
