@@ -122,7 +122,19 @@ void GroupChannel::tail_push(std::uint32_t sender, std::uint64_t seq,
     delivered_tail_.pop_front();
 }
 
+void GroupChannel::drop_expired_relays() {
+  // Deadlines are stamped as now + a fixed offset, so they rise with seq:
+  // the expired entries are a prefix of the map.
+  const sim::TimePoint now = net_.simulator().now();
+  while (!relay_wait_.empty()) {
+    const sim::TimePoint deadline = relay_wait_.begin()->second.deadline;
+    if (deadline == 0 || now < deadline) break;
+    relay_wait_.erase(relay_wait_.begin());
+  }
+}
+
 void GroupChannel::begin_recovery() {
+  drop_expired_relays();
   recovering_ = true;
   recovered_.clear();
   relay_replays_.clear();
@@ -189,7 +201,8 @@ void GroupChannel::handle_solicit(const net::Message& msg) {
   if (r.failed()) return;
   // Answer with our delivered position, every tail entry the solicitor has
   // not itself delivered, and every own broadcast not yet relayed back to
-  // us.  Responding is read-only: authority stays with the solicitor.
+  // us (and not yet expired).  Authority stays with the solicitor.
+  drop_expired_relays();
   util::Writer w;
   w.put(MsgType::kRecover)
       .put(static_cast<std::uint32_t>(self_index_))
@@ -407,6 +420,7 @@ std::uint64_t GroupChannel::broadcast(std::string payload,
     // dies after acking but before relaying, the promoted sequencer
     // replays it from this buffer (with replay disabled the buffer only
     // quantifies the loss window).
+    drop_expired_relays();
     relay_wait_[seq] = {now, deadline, payload, bctx};
     util::Writer w;
     w.put(MsgType::kTotalReq)
@@ -587,7 +601,9 @@ void GroupChannel::mark_failed(const net::Address& member) {
       !config_.failover_replay) {
     // Legacy failover: an own broadcast the dead sequencer acked (no
     // pending left) but that never came back to us is gone for good —
-    // nobody replays it.  Quantify the loss window.
+    // nobody replays it.  Quantify the loss window (expired broadcasts
+    // were never going to be delivered, crash or not).
+    drop_expired_relays();
     for (auto it = relay_wait_.begin(); it != relay_wait_.end();) {
       if (pending_.count(pending_key(self_index_, it->first)) == 0) {
         ++stats_.failover_lost;

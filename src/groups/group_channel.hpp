@@ -188,6 +188,11 @@ class GroupChannel : public net::Endpoint {
   /// Runs held by the dedupe state, summed over senders: one per sender
   /// once its sequence numbers are gap-free, plus one per remaining gap.
   [[nodiscard]] std::size_t dedupe_runs() const noexcept;
+  /// Own kTotal broadcasts retained until they come back through the
+  /// sequencer (the failover replay buffer).
+  [[nodiscard]] std::size_t relay_waiting() const noexcept {
+    return relay_wait_.size();
+  }
 
   void on_message(const net::Message& msg) override;
 
@@ -319,8 +324,10 @@ class GroupChannel : public net::Endpoint {
   // (delivered_tail_) and every sender keeps the payload of each broadcast
   // until it has delivered it *itself* (relay_wait_ — once self-delivered,
   // the whole group's sequencer has relayed it and it can no longer be
-  // lost to a sequencer crash).  On takeover the new sequencer solicits
-  // both from all survivors and replays them into the new epoch.
+  // lost to a sequencer crash) or its deadline passes (no sequencer will
+  // order it then; the old one may have dropped it expired, and then it
+  // never comes back).  On takeover the new sequencer solicits both from
+  // all survivors and replays them into the new epoch.
   struct TailEntry {
     std::uint32_t sender = 0;
     std::uint64_t seq = 0;
@@ -360,6 +367,9 @@ class GroupChannel : public net::Endpoint {
   void tail_push(std::uint32_t sender, std::uint64_t seq, std::uint32_t epoch,
                  std::uint64_t total, sim::TimePoint sent_at,
                  const std::string& payload);
+  /// Forgets own broadcasts whose deadline has passed: they can never be
+  /// sequenced, so they must neither pile up nor be replayed at failover.
+  void drop_expired_relays();
   void begin_recovery();
   void send_solicits();
   void handle_solicit(const net::Message& msg);

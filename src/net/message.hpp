@@ -95,6 +95,12 @@ struct Message {
   /// never parsed by util::Reader).  Part of the simulated 32-byte
   /// header, not charged separately to wire_size.
   std::uint32_t checksum = 0;
+  /// Incarnation of the sending endpoint, as handed out by Network::attach
+  /// (0 = unset).  RPC requests carry the client's epoch and replies echo
+  /// it, so a server tells a re-created client at the same address from
+  /// its predecessor and a client ignores replies meant for an earlier
+  /// incarnation.  Part of the simulated header, not charged to wire_size.
+  std::uint32_t epoch = 0;
   /// Absolute deadline (virtual time) after which this work is worthless,
   /// 0 = none.  Stamped by the sending protocol layer next to the causal
   /// context and carried as part of the simulated header: servers and the
@@ -104,6 +110,12 @@ struct Message {
   /// Scheduling class of this datagram's work (see Priority).  Admission
   /// control sheds lowest-priority-first at its watermarks.
   Priority priority = Priority::kCore;
+  /// RPC acknowledgement floor, as a distance below the request's id:
+  /// floor = req_id + 1 - floor_gap, and every call of this client epoch
+  /// below the floor has finished, so the server may forget its reply.
+  /// 0 = no floor (the distance does not fit).  Simulated header, not
+  /// charged to wire_size.
+  std::uint32_t floor_gap = 0;
   /// Causal-trace header (simulated; not charged to wire_size).  Set by
   /// the sending protocol layer; the network derives per-hop children, so
   /// the context an Endpoint sees identifies the *delivery*, with the
@@ -113,6 +125,11 @@ struct Message {
   /// Simulated UDP/IP-style header overhead charged per datagram.
   static constexpr std::size_t kHeaderBytes = 32;
 };
+
+// epoch and floor_gap sit in what was alignment padding: every datagram
+// parked in the delivery pool, retransmit backlog or coalesced batch stays
+// the same size.
+static_assert(sizeof(Message) == 104, "net::Message grew");
 
 /// Receives datagrams delivered by the network.  Implemented by every
 /// protocol entity (RPC endpoints, group members, stream sinks...).

@@ -109,7 +109,13 @@ class Network {
 
   /// Registers @p ep to receive datagrams addressed to @p addr.  The caller
   /// keeps ownership and must detach (or outlive the network's last event).
-  void attach(const Address& addr, Endpoint& ep) { endpoints_[addr] = &ep; }
+  /// Returns the registration's epoch: a per-network counter that rises
+  /// with every attach, so an endpoint re-created at the same address is
+  /// distinguishable from its predecessor (see Message::epoch).
+  std::uint32_t attach(const Address& addr, Endpoint& ep) {
+    endpoints_[addr] = &ep;
+    return ++last_epoch_;
+  }
 
   /// Removes the endpoint registration, if any.
   void detach(const Address& addr) { endpoints_.erase(addr); }
@@ -307,6 +313,7 @@ class Network {
   std::set<NodeId> side_a_;
   std::set<NodeId> side_b_;  // empty => complement of side_a_
   std::uint64_t next_msg_id_ = 1;
+  std::uint32_t last_epoch_ = 0;  // handed out by attach()
   // Delivery slot + batch pools (freelist-recycled, never shrink).
   std::vector<DeliverySlot> dslots_;
   std::vector<std::uint32_t> dfree_;

@@ -1,6 +1,7 @@
 #include "rpc/rpc.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -19,6 +20,14 @@ std::string metric_key(const char* base, const net::Address& addr,
          std::to_string(addr.port) + "." + leaf;
 }
 
+/// First cached reply at or above @p req_id (replies are sorted by id).
+auto reply_at_or_above(std::vector<std::pair<std::uint64_t, util::Buf>>& v,
+                       std::uint64_t req_id) {
+  return std::lower_bound(
+      v.begin(), v.end(), req_id,
+      [](const auto& e, std::uint64_t id) { return e.first < id; });
+}
+
 }  // namespace
 
 // ------------------------------------------------------------------- server
@@ -28,6 +37,7 @@ RpcServer::RpcServer(net::Network& net, net::Address self)
   auto& m = net_.obs().metrics;
   handled_ = &m.counter(metric_key("rpc.server", self_, "handled"));
   replays_ = &m.counter(metric_key("rpc.server", self_, "replays"));
+  stale_ = &m.counter(metric_key("rpc.server", self_, "stale"));
   shed_[0] = &m.counter(metric_key("rpc.server", self_, "shed_core"));
   shed_[1] = &m.counter(metric_key("rpc.server", self_, "shed_control"));
   shed_[2] = &m.counter(metric_key("rpc.server", self_, "shed_background"));
@@ -47,10 +57,38 @@ void RpcServer::set_admission(const AdmissionConfig& config) {
   admission_ = config;
 }
 
-void RpcServer::reply(const net::Address& to, std::uint64_t req_id,
-                      Status status, const std::string& body,
+std::size_t RpcServer::replay_entries() const noexcept {
+  std::size_t n = 0;
+  for (const auto& [addr, c] : clients_) n += c.replies.size();
+  return n;
+}
+
+RpcServer::ClientReplies* RpcServer::admit_call(const net::Message& msg,
+                                                std::uint64_t req_id) {
+  ClientReplies& c = clients_[msg.src];
+  if (msg.epoch < c.epoch) return nullptr;  // a predecessor's request
+  if (msg.epoch > c.epoch) {
+    // The client was re-created: its req ids start over, so nothing the
+    // predecessor was answered may be replayed to it.
+    c.epoch = msg.epoch;
+    c.floor = 0;
+    c.replies.clear();
+  }
+  if (msg.floor_gap != 0 && msg.floor_gap <= req_id) {
+    const std::uint64_t floor = req_id + 1 - msg.floor_gap;
+    if (floor > c.floor) {
+      c.floor = floor;
+      c.replies.erase(c.replies.begin(), reply_at_or_above(c.replies, floor));
+    }
+  }
+  return req_id < c.floor ? nullptr : &c;
+}
+
+void RpcServer::reply(const CallKey& call, Status status,
+                      const std::string& body,
                       const obs::CausalContext& handle_ctx,
                       sim::TimePoint handle_start) {
+  const std::uint64_t req_id = call.req_id;
   // The service-time span: request arrival at the server to reply leaving
   // it (under admission: service start to reply, so run-queue wait is not
   // misattributed as service).  The critical-path analyzer buckets this as
@@ -60,11 +98,23 @@ void RpcServer::reply(const net::Address& to, std::uint64_t req_id,
                          {{"req", static_cast<double>(req_id)}});
   util::Writer w;
   w.put(kReply).put(req_id).put(status).put_string(body);
-  // The replay cache and the outgoing datagram share one wire buffer.
+  // The replay cache and the outgoing datagram share one wire buffer.  A
+  // reply the client can no longer ask for (its call fell below the floor
+  // or its epoch was superseded while the handler ran) is sent uncached.
   util::Buf wire = w.take_buf();
-  replay_[{to, req_id}] = wire;
-  net_.send({.src = self_, .dst = to, .payload = std::move(wire),
-             .ctx = handle_ctx});
+  auto c = clients_.find(call.client);
+  if (c != clients_.end() && c->second.epoch == call.epoch &&
+      req_id >= c->second.floor) {
+    auto& replies = c->second.replies;
+    auto pos = reply_at_or_above(replies, req_id);
+    if (pos != replies.end() && pos->first == req_id) {
+      pos->second = wire;
+    } else {
+      replies.emplace(pos, req_id, wire);
+    }
+  }
+  net_.send({.src = self_, .dst = call.client, .payload = std::move(wire),
+             .epoch = call.epoch, .ctx = handle_ctx});
 }
 
 void RpcServer::push_back_shed(const net::Message& msg, std::uint64_t req_id) {
@@ -73,7 +123,7 @@ void RpcServer::push_back_shed(const net::Message& msg, std::uint64_t req_id) {
   util::Writer w;
   w.put(kReply).put(req_id).put(Status::kRejected).put_string("");
   net_.send({.src = self_, .dst = msg.src, .payload = w.take_buf(),
-             .ctx = msg.ctx});
+             .epoch = msg.epoch, .ctx = msg.ctx});
 }
 
 void RpcServer::on_message(const net::Message& msg) {
@@ -87,15 +137,27 @@ void RpcServer::on_message(const net::Message& msg) {
   obs::Tracer& tracer = net_.obs().tracer;
   const sim::TimePoint arrived = net_.simulator().now();
 
+  // A call the client has finished (or a predecessor incarnation's) is
+  // never re-executed; nobody waits for its answer, so drop it silently.
+  ClientReplies* client = admit_call(msg, req_id);
+  if (client == nullptr) {
+    stale_->inc();
+    tracer.event(arrived, obs::Category::kRpc, "stale", msg.ctx,
+                 {{"req", static_cast<double>(req_id)}});
+    return;
+  }
+  const CallKey call{msg.src, msg.epoch, req_id};
+
   // Retried request already executed: replay the cached reply verbatim.
   // The reply rides the retry's context, so the client's completion links
   // back to whichever attempt actually reached the server.
-  if (auto it = replay_.find({msg.src, req_id}); it != replay_.end()) {
+  if (auto it = reply_at_or_above(client->replies, req_id);
+      it != client->replies.end() && it->first == req_id) {
     replays_->inc();
     tracer.event(arrived, obs::Category::kRpc, "replay", msg.ctx,
                  {{"req", static_cast<double>(req_id)}});
     net_.send({.src = self_, .dst = msg.src, .payload = it->second,
-               .ctx = msg.ctx});
+               .epoch = msg.epoch, .ctx = msg.ctx});
     return;
   }
 
@@ -104,22 +166,19 @@ void RpcServer::on_message(const net::Message& msg) {
 
   if (auto async = async_methods_.find(method);
       async != async_methods_.end()) {
-    const std::pair<net::Address, std::uint64_t> key{msg.src, req_id};
-    if (!in_progress_.insert(key).second) return;  // retry while running
+    if (!in_progress_.insert(call).second) return;  // retry while running
     handled_->inc();
-    async->second(body, [this, key, handle_ctx, arrived](HandlerResult hr) {
-      in_progress_.erase(key);
-      reply(key.first, key.second,
-            hr.ok ? Status::kOk : Status::kAppError, hr.body, handle_ctx,
-            arrived);
+    async->second(body, [this, call, handle_ctx, arrived](HandlerResult hr) {
+      in_progress_.erase(call);
+      reply(call, hr.ok ? Status::kOk : Status::kAppError, hr.body,
+            handle_ctx, arrived);
     });
     return;
   }
 
   auto handler = methods_.find(method);
   if (handler == methods_.end()) {
-    reply(msg.src, req_id, Status::kNoSuchMethod, method, handle_ctx,
-          arrived);
+    reply(call, Status::kNoSuchMethod, method, handle_ctx, arrived);
     return;
   }
 
@@ -127,7 +186,7 @@ void RpcServer::on_message(const net::Message& msg) {
     // A retry of a request still sitting in the run queue is absorbed, the
     // same contract as in_progress_ for async handlers: the queued
     // execution will answer it.
-    if (queued_.count({msg.src, req_id}) != 0) return;
+    if (queued_.count(call) != 0) return;
 
     const std::size_t depth = queue_depth();
     const auto pi = static_cast<std::size_t>(msg.priority);
@@ -146,7 +205,7 @@ void RpcServer::on_message(const net::Message& msg) {
       push_back_shed(msg, req_id);
       return;
     }
-    enqueue(msg, req_id, method, body);
+    enqueue(msg, call, method, body);
     return;
   }
 
@@ -164,22 +223,21 @@ void RpcServer::on_message(const net::Message& msg) {
   if (processing_ > 0) {
     auto id_holder = std::make_shared<sim::EventId>(sim::kInvalidEvent);
     *id_holder = net_.simulator().schedule_after(
-        processing_, [this, id_holder, src = msg.src, req_id, status,
-                      body = hr.body, handle_ctx, arrived] {
+        processing_, [this, id_holder, call, status, body = hr.body,
+                      handle_ctx, arrived] {
           pending_replies_.erase(*id_holder);
-          reply(src, req_id, status, body, handle_ctx, arrived);
+          reply(call, status, body, handle_ctx, arrived);
         });
     pending_replies_.insert(*id_holder);
   } else {
-    reply(msg.src, req_id, status, hr.body, handle_ctx, arrived);
+    reply(call, status, hr.body, handle_ctx, arrived);
   }
 }
 
-void RpcServer::enqueue(const net::Message& msg, std::uint64_t req_id,
+void RpcServer::enqueue(const net::Message& msg, const CallKey& call,
                         std::string method, std::string body) {
   QueuedRequest q;
-  q.src = msg.src;
-  q.req_id = req_id;
+  q.key = call;
   q.method = std::move(method);
   q.body = std::move(body);
   q.arrived = net_.simulator().now();
@@ -187,7 +245,7 @@ void RpcServer::enqueue(const net::Message& msg, std::uint64_t req_id,
   q.priority = msg.priority;
   q.ctx = msg.ctx.valid() ? msg.ctx.child(net_.obs().tracer.mint_id())
                           : obs::CausalContext{};
-  queued_.insert({q.src, req_id});
+  queued_.insert(call);
   runq_[static_cast<std::size_t>(msg.priority)].push_back(std::move(q));
   service_next();
 }
@@ -229,11 +287,11 @@ void RpcServer::service_next() {
     // owed; silence keeps the drop free.
     if (admission_ && admission_->drop_expired && q.deadline > 0 &&
         now >= q.deadline) {
-      queued_.erase({q.src, q.req_id});
+      queued_.erase(q.key);
       expired_->inc();
       expired_global_->inc();
       tracer.event(now, obs::Category::kRpc, "expired", q.ctx,
-                   {{"req", static_cast<double>(q.req_id)},
+                   {{"req", static_cast<double>(q.key.req_id)},
                     {"late", static_cast<double>(now - q.deadline)}});
       continue;
     }
@@ -242,7 +300,7 @@ void RpcServer::service_next() {
     // analyzer (the server-side analogue of a link serializer queue).
     if (now > q.arrived) {
       tracer.span(q.arrived, now, obs::Category::kRpc, "runq", q.ctx,
-                  {{"req", static_cast<double>(q.req_id)}});
+                  {{"req", static_cast<double>(q.key.req_id)}});
     }
 
     handled_->inc();
@@ -256,19 +314,19 @@ void RpcServer::service_next() {
       serving_ = true;
       auto id_holder = std::make_shared<sim::EventId>(sim::kInvalidEvent);
       *id_holder = net_.simulator().schedule_after(
-          processing_, [this, id_holder, src = q.src, req_id = q.req_id,
-                        status, body = hr.body, ctx = q.ctx, now] {
+          processing_, [this, id_holder, call = q.key, status,
+                        body = hr.body, ctx = q.ctx, now] {
             pending_replies_.erase(*id_holder);
             serving_ = false;
-            queued_.erase({src, req_id});
-            reply(src, req_id, status, body, ctx, now);
+            queued_.erase(call);
+            reply(call, status, body, ctx, now);
             service_next();
           });
       pending_replies_.insert(*id_holder);
       return;
     }
-    queued_.erase({q.src, q.req_id});
-    reply(q.src, q.req_id, status, hr.body, q.ctx, now);
+    queued_.erase(q.key);
+    reply(q.key, status, hr.body, q.ctx, now);
   }
 }
 
@@ -287,7 +345,7 @@ RpcClient::RpcClient(net::Network& net, net::Address self,
   ts_latency_ = ts.series("rpc.latency_us");
   ts_ok_ = ts.series("rpc.ok");
   ts_error_ = ts.series("rpc.error");
-  net_.attach(self_, *this);
+  epoch_ = net_.attach(self_, *this);
 }
 
 RpcClient::~RpcClient() {
@@ -382,10 +440,17 @@ void RpcClient::transmit(std::uint64_t req_id,
                          const obs::CausalContext& attempt_ctx) {
   auto it = outstanding_.find(req_id);
   if (it == outstanding_.end()) return;
+  // Every call below the smallest outstanding id has finished: the server
+  // may forget those replies.  The floor rides as a 32-bit distance.
+  const std::uint64_t gap = req_id + 1 - outstanding_.begin()->first;
   net_.send({.src = self_, .dst = it->second.server,
-             .payload = it->second.wire,
+             .payload = it->second.wire, .epoch = epoch_,
              .deadline = it->second.opts.deadline,
-             .priority = it->second.opts.priority, .ctx = attempt_ctx});
+             .priority = it->second.opts.priority,
+             .floor_gap = gap <= std::numeric_limits<std::uint32_t>::max()
+                              ? static_cast<std::uint32_t>(gap)
+                              : 0,
+             .ctx = attempt_ctx});
   arm_timeout(req_id);
 }
 
@@ -519,7 +584,7 @@ void RpcClient::on_message(const net::Message& msg) {
   const auto req_id = r.get<std::uint64_t>();
   const auto status = r.get<Status>();
   std::string body = r.get_string();
-  if (r.failed()) return;
+  if (r.failed() || msg.epoch != epoch_) return;  // a predecessor's reply
   auto it = outstanding_.find(req_id);
   if (it == outstanding_.end()) return;  // late duplicate reply
 

@@ -4,8 +4,10 @@
 // RpcClient::call provides timeout + retry with exponential backoff;
 // RpcServer dedupes retried requests through a replay cache so application
 // handlers observe *at-most-once* execution even though the transport is
-// at-least-once.  Handlers are synchronous functions; simulated server
-// processing time is modelled with a configurable delay before the reply.
+// at-least-once.  Each request acknowledges the client's finished calls
+// (its ack floor), so the cache holds only replies a client may still ask
+// for.  Handlers are synchronous functions; simulated server processing
+// time is modelled with a configurable delay before the reply.
 #pragma once
 
 #include <array>
@@ -17,6 +19,7 @@
 #include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "net/network.hpp"
 #include "net/overload.hpp"
@@ -159,6 +162,14 @@ class RpcServer : public net::Endpoint {
   [[nodiscard]] std::uint64_t replays_served() const noexcept {
     return replays_->value();
   }
+  /// Requests dropped unexecuted because their call was already finished
+  /// at the client: below the client's ack floor, or from an earlier
+  /// client epoch.
+  [[nodiscard]] std::uint64_t stale_drops() const noexcept {
+    return stale_->value();
+  }
+  /// Replies currently held in the replay cache, over all clients.
+  [[nodiscard]] std::size_t replay_entries() const noexcept;
   /// Requests refused by admission control, by priority class.
   [[nodiscard]] std::uint64_t shed(net::Priority p) const noexcept {
     return shed_[static_cast<std::size_t>(p)]->value();
@@ -178,10 +189,18 @@ class RpcServer : public net::Endpoint {
   void on_message(const net::Message& msg) override;
 
  private:
+  /// Names one call: a client incarnation's request id.
+  struct CallKey {
+    net::Address client;
+    std::uint32_t epoch = 0;
+    std::uint64_t req_id = 0;
+
+    auto operator<=>(const CallKey&) const = default;
+  };
+
   /// One admitted-but-not-yet-serviced request.
   struct QueuedRequest {
-    net::Address src;
-    std::uint64_t req_id = 0;
+    CallKey key;
     std::string method;
     std::string body;
     sim::TimePoint arrived = 0;
@@ -190,14 +209,27 @@ class RpcServer : public net::Endpoint {
     obs::CausalContext ctx{};
   };
 
-  void reply(const net::Address& to, std::uint64_t req_id, Status status,
-             const std::string& body, const obs::CausalContext& handle_ctx,
+  /// Replay-cache state of one client address: only its newest epoch is
+  /// remembered, and only the replies at or above its ack floor.
+  struct ClientReplies {
+    std::uint32_t epoch = 0;
+    std::uint64_t floor = 0;  ///< every req id below it is finished
+    /// Sorted by req id, all >= floor.  Closed-loop clients keep one
+    /// entry, so a small vector beats a tree (no node per reply).
+    std::vector<std::pair<std::uint64_t, util::Buf>> replies;
+  };
+
+  /// Applies @p msg's epoch and ack floor to its client's cache entry.
+  /// Returns nullptr when the request is stale and must be dropped.
+  ClientReplies* admit_call(const net::Message& msg, std::uint64_t req_id);
+  void reply(const CallKey& call, Status status, const std::string& body,
+             const obs::CausalContext& handle_ctx,
              sim::TimePoint handle_start);
   /// Immediate kRejected pushback for a shed request — deliberately NOT
   /// cached in the replay table, so a later retry may be admitted once
   /// the queue drains.
   void push_back_shed(const net::Message& msg, std::uint64_t req_id);
-  void enqueue(const net::Message& msg, std::uint64_t req_id,
+  void enqueue(const net::Message& msg, const CallKey& call,
                std::string method, std::string body);
   /// Serial worker: dequeues highest-priority-first, drops expired work,
   /// executes the handler and schedules the reply.
@@ -208,8 +240,21 @@ class RpcServer : public net::Endpoint {
   std::map<std::string, MethodFn> methods_;
   std::map<std::string, AsyncMethodFn> async_methods_;
   sim::Duration processing_ = 0;
-  // Replay cache: (client address, request id) -> encoded reply.  Grants
-  // at-most-once execution under client retries.
+  // Replay cache: client address -> {epoch, ack floor, encoded replies}.
+  // Grants at-most-once execution per client epoch under retries: a call
+  // is named by (address, epoch, req id), and a retry of an answered call
+  // gets the cached reply verbatim.
+  //
+  // Bounds: every request carries its client's ack floor, the smallest
+  // req id still outstanding there.  A rising floor erases the replies
+  // below it, and a request below the floor is dropped as stale (its
+  // call is finished at the client, so nobody waits for the answer).  A
+  // newer epoch from an address — the client was re-created and restarts
+  // at req id 1 — drops the predecessor's replies; requests of an older
+  // epoch are stale.  So the cache holds, per client, only replies from
+  // its oldest outstanding call on, plus its last answered call until the
+  // next request acknowledges it: closed-loop clients cost at most
+  // clients + outstanding calls entries, whatever the session length.
   //
   // Restart semantics: the cache is process state and dies with the
   // server — at-most-once holds *per server incarnation*.  A retry that
@@ -217,9 +262,9 @@ class RpcServer : public net::Endpoint {
   // re-executes; clients needing exactly-once across restarts must make
   // operations idempotent (chaos invariants key recorded executions by
   // incarnation for exactly this reason).
-  std::map<std::pair<net::Address, std::uint64_t>, util::Buf> replay_;
+  std::map<net::Address, ClientReplies> clients_;
   // Async requests currently executing (retries are absorbed).
-  std::set<std::pair<net::Address, std::uint64_t>> in_progress_;
+  std::set<CallKey> in_progress_;
   // Replies delayed by processing_, cancelled on destruction so a server
   // torn down mid-request (the crash-restart lifecycle) leaves no
   // dangling timer.  Async handlers own their completion closures; an
@@ -227,15 +272,16 @@ class RpcServer : public net::Endpoint {
   // drop those closures itself.
   std::set<sim::EventId> pending_replies_;
   // Admission control (engaged by set_admission).  One FIFO per priority
-  // class; service drains kCore first.  queued_ mirrors the queue's
-  // (client, req id) keys so retries of queued requests are absorbed.
+  // class; service drains kCore first.  queued_ mirrors the queue's call
+  // keys so retries of queued requests are absorbed.
   std::optional<AdmissionConfig> admission_;
   std::array<std::deque<QueuedRequest>, net::kPriorityCount> runq_;
-  std::set<std::pair<net::Address, std::uint64_t>> queued_;
+  std::set<CallKey> queued_;
   bool serving_ = false;
   // Registry-owned ("rpc.server.<node>:<port>.*"); accessors are views.
   util::Counter* handled_;
   util::Counter* replays_;
+  util::Counter* stale_;
   util::Counter* shed_[net::kPriorityCount];
   util::Counter* expired_;
   util::Counter* expired_global_;  ///< shared "rpc.expired_drops"
@@ -319,6 +365,7 @@ class RpcClient : public net::Endpoint {
   };
 
   PeerGuards& guards(const net::Address& server);
+  /// Sends (or re-sends) a call, stamping the current epoch and ack floor.
   void transmit(std::uint64_t req_id, const obs::CausalContext& attempt_ctx);
   void arm_timeout(std::uint64_t req_id);
   void on_timeout_expiry(std::uint64_t req_id);
@@ -331,6 +378,7 @@ class RpcClient : public net::Endpoint {
   std::map<net::Address, PeerGuards> guards_;
   std::map<std::uint64_t, Outstanding> outstanding_;
   std::uint64_t next_req_id_ = 1;
+  std::uint32_t epoch_ = 0;  ///< from Network::attach; replies must echo it
   // Registry-owned ("rpc.client.<node>:<port>.*"); accessors are views.
   util::Summary* rtts_;
   util::Counter* timeouts_;

@@ -2,6 +2,7 @@
 // randomized sweeps over lossy, jittery networks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -504,6 +505,46 @@ TEST(GroupChannel, ExpiredRequestsLeaveAtMostOneGapEach) {
     EXPECT_EQ(h.members[m]->log.size(), n * 200 - drops) << "member " << m;
   }
   EXPECT_EQ(h.members[0]->chan->dedupe_runs(), n);  // sequencer: no holes
+}
+
+TEST(GroupChannel, ExpiredBroadcastsAreNotRetainedOrReplayedAtFailover) {
+  // The sequencer drops expired requests without relaying them, so their
+  // senders never self-deliver them.  Senders must forget them at their
+  // deadline: the retained set stays bounded, and the promoted sequencer
+  // does not re-count the old sequencer's drops during recovery.
+  const std::size_t n = 8;
+  Harness h(n, {.ordering = Ordering::kTotal,
+                .broadcast_deadline = sim::msec(6)},
+            3);
+  h.net.set_default_link({.latency = sim::msec(4), .jitter = sim::msec(3),
+                          .bandwidth_bps = 10e6, .loss = 0.0});
+  const int rounds = 200;
+  h.schedule_rounds(rounds);
+  std::size_t max_waiting = 0;
+  for (int i = 0; i < rounds; ++i) {
+    h.sim.schedule_at(sim::msec(10 * i + 9), [&h, &max_waiting] {
+      for (const auto& m : h.members)
+        max_waiting = std::max(max_waiting, m->chan->relay_waiting());
+    });
+  }
+  const sim::TimePoint crash_at = sim::msec(10 * rounds + 50);
+  h.sim.run_until(crash_at);
+  const std::uint64_t drops = h.members[0]->chan->stats().expired_drops;
+  ASSERT_GT(drops, 0u);
+  const std::uint64_t promoted_before =
+      h.members[1]->chan->stats().expired_drops;
+  h.net.crash(1);
+  for (std::size_t m = 1; m < n; ++m)
+    h.members[m]->chan->mark_failed(h.members[0]->chan->self());
+  h.sim.run();
+
+  EXPECT_TRUE(h.members[1]->chan->is_sequencer());
+  EXPECT_EQ(h.members[1]->chan->stats().expired_drops, promoted_before);
+  EXPECT_LE(max_waiting, 2u);
+  for (std::size_t m = 1; m < n; ++m) {
+    EXPECT_EQ(h.members[m]->chan->relay_waiting(), 0u) << "member " << m;
+    EXPECT_EQ(h.members[m]->log.size(), n * rounds - drops) << "member " << m;
+  }
 }
 
 // Property sweep: for every ordering mode and several seeds, all members

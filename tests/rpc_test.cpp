@@ -2,12 +2,16 @@
 // reply policies with real-time deadlines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "fault/fault.hpp"
 #include "net/network.hpp"
 #include "rpc/group_rpc.hpp"
 #include "rpc/rpc.hpp"
@@ -171,6 +175,150 @@ TEST_F(RpcTest, AsyncMethodAbsorbsRetriesWhileInProgress) {
   sim.run();
   EXPECT_TRUE(got.ok());
   EXPECT_EQ(executions, 1);
+}
+
+TEST_F(RpcTest, RestartedClientNeverGetsPredecessorsReply) {
+  // A re-created client restarts at req id 1.  The server must not take
+  // its first call for a retry of the predecessor's call 1.
+  int counter = 0;
+  server.register_method("next", [&](const std::string&) {
+    return HandlerResult::success(std::to_string(++counter));
+  });
+  // Takes over the fixture client's address, as a restarted process would.
+  auto c = std::make_unique<RpcClient>(net, net::Address{1, 1});
+  std::vector<std::string> got;
+  const auto call = [&] {
+    c->call({2, 1}, "next", "", [&](const RpcResult& r) {
+      got.push_back(r.ok() ? r.reply : "error");
+    });
+    sim.run();
+  };
+  call();
+  call();
+  c.reset();
+  c = std::make_unique<RpcClient>(net, net::Address{1, 1});
+  call();
+  EXPECT_EQ(got, (std::vector<std::string>{"1", "2", "3"}));
+  EXPECT_EQ(server.replays_served(), 0u);
+}
+
+TEST_F(RpcTest, DuplicateBelowAckFloorIsStaleAndNotExecuted) {
+  int executions = 0;
+  server.register_method("count", [&](const std::string&) {
+    ++executions;
+    return HandlerResult::success("done");
+  });
+  // Keep a copy of the first request datagram, to re-deliver it after the
+  // client has moved on.
+  std::optional<net::Message> first;
+  net.set_inject_hook([&](const net::Message& msg) {
+    if (!first && msg.dst == net::Address{2, 1}) first = msg;
+    return net::InjectDecision{};
+  });
+  int ok = 0;
+  for (int i = 0; i < 2; ++i) {
+    client.call({2, 1}, "count", "", [&](const RpcResult& r) { ok += r.ok(); });
+    sim.run();
+  }
+  ASSERT_EQ(ok, 2);
+  ASSERT_TRUE(first.has_value());
+  // Call 2 carried ack floor 2, so call 1's reply is gone; the late copy
+  // of call 1 is dropped unexecuted instead of replayed or re-run.
+  EXPECT_EQ(server.replay_entries(), 1u);
+  const std::uint64_t sent = net.stats().sent;
+  net.send(*first);
+  sim.run();
+  EXPECT_EQ(executions, 2);
+  EXPECT_EQ(server.stale_drops(), 1u);
+  EXPECT_EQ(server.replays_served(), 0u);
+  EXPECT_EQ(net.stats().sent, sent + 1);  // no reply went out
+}
+
+TEST_F(RpcTest, LateAsyncReplyBelowFloorIsSentButNotCached) {
+  std::vector<std::function<void(HandlerResult)>> parked;
+  server.register_async_method(
+      "park", [&](const std::string&, std::function<void(HandlerResult)> r) {
+        parked.push_back(std::move(r));
+      });
+  RpcResult gave_up;
+  client.call({2, 1}, "park", "", [&](const RpcResult& r) { gave_up = r; },
+              {.timeout = sim::msec(20), .retries = 0});
+  sim.run();
+  ASSERT_EQ(gave_up.status, Status::kTimeout);
+  RpcResult got;
+  client.call({2, 1}, "echo", "x", [&](const RpcResult& r) { got = r; });
+  sim.run();
+  ASSERT_TRUE(got.ok());
+  ASSERT_EQ(parked.size(), 1u);
+  const std::uint64_t sent = net.stats().sent;
+  parked.front()(HandlerResult::success("late"));
+  sim.run();
+  EXPECT_EQ(net.stats().sent, sent + 1);   // the reply still goes out
+  EXPECT_EQ(server.replay_entries(), 1u);  // only the echo reply is kept
+}
+
+TEST(RpcBoundedCacheTest, ClosedLoopClientsKeepTheCacheBounded) {
+  // 4 closed-loop clients, 10k calls over a lossy, jittered link that
+  // also duplicates and delays datagrams.  The cache never holds more
+  // than one finished reply per client plus the outstanding calls, and
+  // every call executes at most once.
+  sim::Simulator sim(17);
+  net::Network net(sim);
+  net.set_default_link({.latency = sim::msec(2), .jitter = sim::msec(2),
+                        .bandwidth_bps = 10e6, .loss = 0.1});
+  fault::FaultPlan plan(net);
+  plan.duplicate(0, sim::sec(3600), 0.3)
+      .delay(0, sim::sec(3600), 0.05, sim::msec(40));
+  plan.arm();
+  RpcServer server(net, {9, 1});
+  std::map<std::string, int> executions;
+  server.register_method("op", [&](const std::string& req) {
+    ++executions[req];
+    return HandlerResult::success(req);
+  });
+
+  constexpr int kClients = 4;
+  constexpr int kCalls = 10000;
+  std::vector<std::unique_ptr<RpcClient>> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.push_back(std::make_unique<RpcClient>(
+        net, net::Address{static_cast<net::NodeId>(c + 1), 1}));
+  }
+  int issued = 0;
+  int outstanding = 0;
+  int ok = 0;
+  std::size_t max_entries = 0;
+  bool bounded = true;
+  std::function<void(int)> issue = [&](int c) {
+    if (issued == kCalls) return;
+    // The body names the call: one per (client epoch, req id).
+    const std::string req =
+        std::to_string(c) + "." + std::to_string(issued++);
+    ++outstanding;
+    clients[static_cast<std::size_t>(c)]->call(
+        {9, 1}, "op", req,
+        [&, c](const RpcResult& r) {
+          --outstanding;
+          ok += r.ok();
+          const std::size_t entries = server.replay_entries();
+          max_entries = std::max(max_entries, entries);
+          if (entries > static_cast<std::size_t>(kClients + outstanding))
+            bounded = false;
+          issue(c);
+        },
+        {.timeout = sim::msec(30), .retries = 8});
+  };
+  for (int c = 0; c < kClients; ++c) issue(c);
+  sim.run();
+
+  EXPECT_EQ(issued, kCalls);
+  EXPECT_GT(ok, kCalls * 99 / 100);
+  EXPECT_TRUE(bounded) << "peak entries " << max_entries;
+  EXPECT_LE(server.replay_entries(), static_cast<std::size_t>(kClients));
+  for (const auto& [req, n] : executions) EXPECT_EQ(n, 1) << req;
+  EXPECT_GT(plan.injected().duplicate_frames, 0u);
+  EXPECT_GT(server.replays_served(), 0u);
+  EXPECT_GT(server.stale_drops(), 0u);
 }
 
 // ---------------------------------------------------------------- trader
