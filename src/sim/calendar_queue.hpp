@@ -16,6 +16,17 @@
 // (when, seq) total order — identical to the serial kernel's heap, and
 // independent of bucket geometry — so artifacts never depend on tuning.
 //
+// Storage: a bucket is a singly linked list of fixed-size chunks
+// (kChunkEntries entries each) drawn from one per-queue pool with a free
+// list.  Inserts append to the bucket's head chunk; draining a bucket
+// copies its chunks into the cursor heap and returns them to the pool.
+// Entry storage is therefore bounded by the peak number of pending
+// entries plus one partial chunk per occupied bucket, whatever the run
+// length, and a warm queue never allocates.  Per-bucket vectors would not
+// be bounded: timer cadences that do not divide the ring span drift their
+// clusters across every bucket, and each bucket's capacity would ratchet
+// up to the largest cluster (DESIGN.md §17).
+//
 // The ring doubles (up to kMaxBuckets) when occupancy crosses
 // kGrowOccupancy, which keeps per-bucket heaps small under load; resizing
 // is a function of queue content only, so runs stay deterministic.
@@ -44,7 +55,7 @@ class CalendarQueue {
       : width_(bucket_width > 0 ? bucket_width : 1) {
     std::size_t n = 8;
     while (n < buckets && n < kMaxBuckets) n <<= 1;
-    ring_.resize(n);
+    head_.assign(n, kNil);
     occupied_.resize(words_for(n), 0);
   }
 
@@ -61,7 +72,7 @@ class CalendarQueue {
     if (size_ == 0) rebase(e.when);  // keep the ring mapping tight
     place(e);
     ++size_;
-    if (size_ > ring_.size() * kGrowOccupancy && ring_.size() < kMaxBuckets)
+    if (size_ > head_.size() * kGrowOccupancy && head_.size() < kMaxBuckets)
       grow();
   }
 
@@ -88,20 +99,38 @@ class CalendarQueue {
   template <typename F>
   void for_each(F&& f) const {
     for (const CalEntry& e : cur_) f(e);
-    for (const std::vector<CalEntry>& b : ring_)
-      for (const CalEntry& e : b) f(e);
+    for (std::uint32_t head : head_)
+      for (std::uint32_t c = head; c != kNil; c = pool_[c].next)
+        for (std::uint32_t i = 0; i < pool_[c].count; ++i) f(pool_[c].e[i]);
     for (const CalEntry& e : over_) f(e);
   }
 
-  /// Ring geometry (test/diagnostic hooks).
+  /// Ring geometry and storage (test/diagnostic hooks).
   [[nodiscard]] std::size_t bucket_count() const noexcept {
-    return ring_.size();
+    return head_.size();
   }
   [[nodiscard]] Duration bucket_width() const noexcept { return width_; }
+  /// Entries the queue has room for without allocating: the chunk pool
+  /// plus the cursor and overflow heaps' capacities.
+  [[nodiscard]] std::size_t reserved_entries() const noexcept {
+    return pool_.capacity() * kChunkEntries + cur_.capacity() +
+           over_.capacity();
+  }
+
+  static constexpr std::size_t kChunkEntries = 32;
 
  private:
   static constexpr std::size_t kMaxBuckets = std::size_t{1} << 16;
   static constexpr std::size_t kGrowOccupancy = 8;
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+  /// A run of up to kChunkEntries entries of one bucket, linked to the
+  /// bucket's older chunks (or, when free, to the next free chunk).
+  struct Chunk {
+    std::uint32_t next = kNil;
+    std::uint32_t count = 0;
+    CalEntry e[kChunkEntries];
+  };
 
   static std::size_t words_for(std::size_t buckets) noexcept {
     return (buckets + 63) >> 6;
@@ -166,7 +195,7 @@ class CalendarQueue {
     // End of the ring's representable window; everything at or beyond
     // waits in the overflow heap.  Saturating: near kTimeMax the ring
     // simply never admits far-future entries.
-    const auto span = static_cast<std::uint64_t>(width_) * ring_.size();
+    const auto span = static_cast<std::uint64_t>(width_) * head_.size();
     const auto limit = static_cast<std::uint64_t>(kTimeMax - cur_start_);
     return span >= limit ? kTimeMax : cur_start_ + static_cast<TimePoint>(span);
   }
@@ -198,10 +227,34 @@ class CalendarQueue {
     }
     auto j = static_cast<std::size_t>(
         (e.when - cur_start_) / width_);           // 1 <= j
-    if (j >= ring_.size()) j = ring_.size() - 1;   // saturated window only
-    const std::size_t b = (cursor_ + j) & (ring_.size() - 1);
-    ring_[b].push_back(e);
-    mark_occupied(b);
+    if (j >= head_.size()) j = head_.size() - 1;   // saturated window only
+    const std::size_t b = (cursor_ + j) & (head_.size() - 1);
+    std::uint32_t c = head_[b];
+    if (c == kNil || pool_[c].count == kChunkEntries) {
+      const std::uint32_t fresh = take_chunk();  // may move pool_
+      pool_[fresh].next = c;
+      head_[b] = c = fresh;
+      mark_occupied(b);
+    }
+    Chunk& k = pool_[c];
+    k.e[k.count++] = e;
+  }
+
+  /// Pops a chunk off the free list, extending the pool when it is empty.
+  std::uint32_t take_chunk() {
+    if (free_ == kNil) {
+      pool_.emplace_back();
+      return static_cast<std::uint32_t>(pool_.size() - 1);
+    }
+    const std::uint32_t c = free_;
+    free_ = pool_[c].next;
+    pool_[c].count = 0;
+    return c;
+  }
+
+  void give_chunk(std::uint32_t c) noexcept {
+    pool_[c].next = free_;
+    free_ = c;
   }
 
   /// Ensures the minimum entry sits at cur_[0]: advances the cursor over
@@ -220,11 +273,16 @@ class CalendarQueue {
       // Step to the next occupied bucket (bitmap scan, then move that
       // bucket's entries into the current heap).
       const std::size_t steps = next_occupied_distance();
-      cursor_ = (cursor_ + steps) & (ring_.size() - 1);
+      cursor_ = (cursor_ + steps) & (head_.size() - 1);
       cur_start_ += static_cast<TimePoint>(steps) * width_;
-      std::vector<CalEntry>& b = ring_[cursor_];
-      cur_.swap(b);
-      b.clear();
+      for (std::uint32_t c = head_[cursor_]; c != kNil;) {
+        const Chunk& k = pool_[c];
+        cur_.insert(cur_.end(), k.e, k.e + k.count);
+        const std::uint32_t next = k.next;
+        give_chunk(c);
+        c = next;
+      }
+      head_[cursor_] = kNil;
       mark_empty(cursor_);
       heapify(cur_);
       drain_overflow();  // window advanced: pull newly eligible entries
@@ -251,7 +309,7 @@ class CalendarQueue {
   /// Distance (in buckets, >= 1) from the cursor to the next occupied
   /// bucket.  Pre: some ring bucket is occupied.
   [[nodiscard]] std::size_t next_occupied_distance() const noexcept {
-    const std::size_t n = ring_.size();
+    const std::size_t n = head_.size();
     for (std::size_t d = 1; d <= n; ++d) {
       const std::size_t b = (cursor_ + d) & (n - 1);
       if (occupied_[b >> 6] >> (b & 63) & 1) return d;
@@ -273,9 +331,12 @@ class CalendarQueue {
     std::vector<CalEntry> all;
     all.reserve(size_);
     for_each([&all](const CalEntry& e) { all.push_back(e); });
-    const std::size_t n = ring_.size() << 1;
-    ring_.assign(n, {});
+    const std::size_t n = head_.size() << 1;
+    head_.assign(n, kNil);
     occupied_.assign(words_for(n), 0);
+    free_ = kNil;
+    for (std::size_t c = pool_.size(); c-- > 0;)
+      give_chunk(static_cast<std::uint32_t>(c));
     cur_.clear();
     over_.clear();
     TimePoint anchor = all.front().when;
@@ -285,10 +346,12 @@ class CalendarQueue {
   }
 
   Duration width_;
-  std::vector<std::vector<CalEntry>> ring_;  // unsorted future buckets
-  std::vector<std::uint64_t> occupied_;      // one bit per ring bucket
-  std::vector<CalEntry> cur_;                // 4-ary heap: cursor bucket
-  std::vector<CalEntry> over_;               // 4-ary heap: beyond horizon
+  std::vector<std::uint32_t> head_;      // per bucket: newest chunk or kNil
+  std::vector<std::uint64_t> occupied_;  // one bit per ring bucket
+  std::vector<Chunk> pool_;              // every bucket's chunks
+  std::uint32_t free_ = kNil;            // free-list head in pool_
+  std::vector<CalEntry> cur_;            // 4-ary heap: cursor bucket
+  std::vector<CalEntry> over_;           // 4-ary heap: beyond horizon
   std::size_t cursor_ = 0;
   TimePoint cur_start_ = 0;
   std::size_t size_ = 0;

@@ -110,8 +110,7 @@ ShardedEngine::ShardedEngine(const ShardedConfig& cfg) : cfg_(cfg) {
   shards_.reserve(cfg_.shards);
   for (std::uint32_t s = 0; s < cfg_.shards; ++s) {
     shards_.push_back(std::make_unique<ShardSim>(
-        s, master.next() ^ 0xa5a5a5a55a5a5a5aULL, cfg_.bucket_width,
-        cfg_.buckets));
+        s, master.next() ^ 0xa5a5a5a55a5a5a5aULL));
   }
   phase_counts_.assign(cfg_.shards, 0);
 }

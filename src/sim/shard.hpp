@@ -59,9 +59,9 @@ struct ShardMsg {
   std::uint64_t payload = 0;    ///< scenario-defined word
 };
 
-/// Sharded-kernel tuning.  Everything is deterministic: shard count,
-/// thread count and queue geometry may change wall-clock speed but never
-/// a run's virtual-time outcome.
+/// Sharded-kernel tuning.  Everything is deterministic: shard count and
+/// thread count may change wall-clock speed but never a run's
+/// virtual-time outcome.
 struct ShardedConfig {
   std::uint32_t shards = 1;
   /// Worker threads for the epoch fan-out (1 = run shards inline on the
@@ -72,9 +72,6 @@ struct ShardedConfig {
   /// Zero selects barrier-synchronized timestamp epochs.
   Duration lookahead = 0;
   std::uint64_t seed = 42;
-  /// Calendar-queue geometry per shard (see sim/calendar_queue.hpp).
-  Duration bucket_width = usec(256);
-  std::size_t buckets = 64;
 };
 
 class ShardedEngine;
@@ -85,9 +82,8 @@ class ShardedEngine;
 /// the run methods are epoch-bounded and only the engine calls them.
 class ShardSim {
  public:
-  ShardSim(std::uint32_t shard, std::uint64_t seed, Duration bucket_width,
-           std::size_t buckets)
-      : queue_(bucket_width, buckets), shard_(shard), rng_(seed) {}
+  ShardSim(std::uint32_t shard, std::uint64_t seed)
+      : shard_(shard), rng_(seed) {}
 
   ShardSim(const ShardSim&) = delete;
   ShardSim& operator=(const ShardSim&) = delete;

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "net/network.hpp"
+#include "sim/shard.hpp"
 #include "sim/simulator.hpp"
 #include "sim/small_fn.hpp"
 #include "util/buf.hpp"
@@ -467,6 +468,67 @@ TEST(ZeroAllocTest, SteadyStateUnicastPathDoesNotTouchTheHeap) {
   EXPECT_EQ(allocs, 0u) << "steady-state unicast performed " << allocs
                         << " heap allocations across 256 deliveries";
   EXPECT_EQ(sink.count, 128u + 256u);
+#endif
+}
+
+TEST(ZeroAllocTest, WarmShardedKernelDoesNotTouchTheHeap) {
+#if !COOP_COUNT_ALLOCS
+  GTEST_SKIP() << "allocation counting disabled under AddressSanitizer";
+#else
+  // 4 shards x 48 nodes.  Each node re-arms a tick on one of five
+  // cadences that do not divide the calendar ring's span, and every tick
+  // sends a message to a node on the next shard, so tick clusters and
+  // message arrivals drift across every ring bucket.
+  constexpr std::uint32_t kShards = 4;
+  constexpr std::uint32_t kNodesPerShard = 48;
+  struct World {
+    sim::ShardedEngine eng{sim::ShardedConfig{
+        .shards = kShards, .threads = 1, .lookahead = sim::msec(1)}};
+    std::uint64_t ticks = 0;
+    std::uint64_t delivered = 0;
+    std::uint32_t seq = 0;
+
+    void arm(std::uint32_t node) {
+      const auto shard = node % kShards;
+      const sim::Duration period = sim::usec(2900 + 700 * (node % 5));
+      eng.schedule_after(shard, period, [this, node] { tick(node); });
+    }
+    void tick(std::uint32_t node) {
+      ++ticks;
+      const auto src = static_cast<std::uint16_t>(node % kShards);
+      const std::uint32_t dst = node + 1;
+      eng.send(sim::ShardMsg{
+          .at = eng.shard(src).now() + sim::usec(1000 + 130 * (node % 3)),
+          .src = node,
+          .dst = dst,
+          .src_shard = src,
+          .dst_shard = static_cast<std::uint16_t>(dst % kShards),
+          .seq = ++seq,
+          .payload = 0});
+      arm(node);
+    }
+  } w;
+  w.eng.set_msg_handler(
+      [](void* ctx, const sim::ShardMsg&) {
+        ++static_cast<World*>(ctx)->delivered;
+      },
+      &w);
+  for (std::uint32_t n = 0; n < kShards * kNodesPerShard; ++n) w.arm(n);
+
+  // Warm-up: slot tables, outboxes, merge staging and every shard's
+  // chunk pool and cursor heap reach their steady-state capacity.
+  w.eng.run_until(sim::msec(100));
+  const std::uint64_t ticks_before = w.ticks;
+  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  // ~18 more revolutions of the default 64 x 256 us ring.
+  w.eng.run_until(sim::msec(400));
+  const std::uint64_t allocs =
+      g_alloc_count.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(allocs, 0u) << "warm sharded kernel performed " << allocs
+                        << " heap allocations";
+  EXPECT_GT(w.ticks - ticks_before, 10'000u);
+  EXPECT_GT(w.delivered, 10'000u);
+  EXPECT_EQ(w.eng.lookahead_violations(), 0u);
 #endif
 }
 

@@ -164,10 +164,71 @@ TEST(CalendarQueue, InsertBelowHuntedCursorStaysOrdered) {
   EXPECT_TRUE(q.empty());
 }
 
+TEST(CalendarQueue, ForEachVisitsEveryEntryAcrossChunks) {
+  CalendarQueue q(usec(100), 8);
+  // 75 entries in each of three ring buckets (more than two chunks'
+  // worth), 75 in the cursor bucket and 600 beyond the horizon.
+  std::uint64_t expect_sum = 0;
+  for (std::uint64_t s = 1; s <= 900; ++s) {
+    q.push({static_cast<TimePoint>((s % 4) * 250 + (s % 3) * sec(1)), s, 0});
+    expect_sum += s;
+  }
+  std::size_t visited = 0;
+  std::uint64_t sum = 0;
+  q.for_each([&](const CalEntry& e) {
+    ++visited;
+    sum += e.seq;
+  });
+  EXPECT_EQ(visited, 900u);
+  EXPECT_EQ(sum, expect_sum);
+  expect_sorted(drain(q));
+}
+
+TEST(CalendarQueue, StorageTracksPendingEntriesNotRunLength) {
+  // Two timer populations re-arm on cadences that do not divide the
+  // ring span (64 x 100 us), so their clusters drift across every bucket
+  // — the pattern that would ratchet per-bucket buffers up to the
+  // largest cluster.  Storage must stay bounded by what is pending.
+  CalendarQueue q(usec(100), 64);
+  const std::size_t buckets = q.bucket_count();
+  const TimePoint span = q.bucket_width() * static_cast<TimePoint>(buckets);
+  struct Timer {
+    std::size_t count;
+    Duration period;
+  };
+  const Timer timers[] = {{256, usec(1000)}, {128, usec(2300)}};
+  std::uint64_t seq = 1;
+  std::vector<Duration> period_of(1, 0);  // indexed by CalEntry::slot
+  for (const Timer& t : timers) {
+    for (std::size_t i = 0; i < t.count; ++i)
+      q.push({0, seq++, static_cast<std::uint32_t>(period_of.size())});
+    period_of.push_back(t.period);
+  }
+  const std::size_t pending = q.size();
+  ASSERT_LT(pending, buckets * 8) << "the ring must not grow in this test";
+  std::size_t after_second = 0;
+  for (int rev = 1; rev <= 24; ++rev) {
+    CalEntry e;
+    while (q.peek(e) && e.when < span * rev) {
+      q.pop();
+      q.push({e.when + period_of[e.slot], seq++, e.slot});
+    }
+    ASSERT_EQ(q.size(), pending);
+    ASSERT_EQ(q.bucket_count(), buckets);
+    EXPECT_LE(q.reserved_entries(),
+              2 * q.size() + CalendarQueue::kChunkEntries * buckets)
+        << "revolution " << rev;
+    if (rev == 2) after_second = q.reserved_entries();
+    if (rev > 2) {
+      EXPECT_EQ(q.reserved_entries(), after_second) << "revolution " << rev;
+    }
+  }
+}
+
 // --- ShardSim ---------------------------------------------------------------
 
 TEST(ShardSim, MirrorsSerialSchedulingSemantics) {
-  ShardSim s(0, 42, usec(100), 8);
+  ShardSim s(0, 42);
   std::vector<int> order;
   s.schedule_at(usec(30), [&] { order.push_back(3); });
   s.schedule_at(usec(10), [&] { order.push_back(1); });
@@ -184,7 +245,7 @@ TEST(ShardSim, MirrorsSerialSchedulingSemantics) {
 }
 
 TEST(ShardSim, PastScheduleClampsToNow) {
-  ShardSim s(0, 42, usec(100), 8);
+  ShardSim s(0, 42);
   s.schedule_at(usec(50), [&s] {
     s.schedule_at(usec(10), [] {});  // in the past: clamps to now=50us
   });
