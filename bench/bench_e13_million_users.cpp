@@ -32,7 +32,6 @@
 // under sanitizers in CI.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -362,24 +361,16 @@ void BM_E13_SpaceTime(benchmark::State& state) {
   state.counters["deliveries"] = static_cast<double>(sharded.deliveries);
 }
 
-/// Worker threads for the parity matrix's sharded runs: COOP_E13_THREADS,
-/// clamped to [1, 8] (the matrix's largest shard count); default 1.
-/// Threads never change an outcome, so the cells' verdicts and hashes do
-/// not depend on it — it exists to run the worker pool under TSan.
-std::uint32_t parity_threads() {
-  const char* env = std::getenv("COOP_E13_THREADS");
-  if (env == nullptr) return 1;
-  const long n = std::strtol(env, nullptr, 10);
-  return static_cast<std::uint32_t>(std::clamp(n, 1L, 8L));
-}
-
 /// The full parity seed matrix at small N: seeds x topologies x shard
 /// counts (including shards=1 and the zero-lookahead barrier mode), each
-/// cell checked against the serial oracle.
+/// cell checked against the serial oracle.  Sharded cells run on the
+/// worker pool, so sanitizer runs of the matrix cover it: 4 threads (the
+/// engine caps them at the shard count) give the 8-shard cells workers
+/// that own two shards each.  Threads never change an outcome.
 void BM_E13_ParityMatrix(benchmark::State& state) {
   constexpr std::uint32_t kParticipants = 512;  // 32 rooms
+  constexpr std::uint32_t kThreads = 4;
   const sim::TimePoint horizon = sim::msec(600);
-  const std::uint32_t threads = parity_threads();
   std::uint64_t cells = 0;
   for (auto _ : state) {
     for (const std::uint64_t seed : {11ULL, 12ULL, 13ULL}) {
@@ -389,7 +380,7 @@ void BM_E13_ParityMatrix(benchmark::State& state) {
             run_serial(kParticipants, seed, topo, horizon);
         for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
           const CellResult sharded = run_sharded(kParticipants, seed, topo,
-                                                 horizon, shards, threads);
+                                                 horizon, shards, kThreads);
           const std::string tag = "seed=" + std::to_string(seed) +
                                   " topo=" + std::to_string(topo_idx) +
                                   " shards=" + std::to_string(shards);
@@ -426,8 +417,6 @@ int main(int argc, char** argv) {
   obs.meta.knobs["trace_cap"] = std::to_string(obs.tracer.capacity());
   if (const char* cap = std::getenv("COOP_TRACE_CAP"))
     obs.meta.knobs["COOP_TRACE_CAP"] = cap;
-  if (const char* threads = std::getenv("COOP_E13_THREADS"))
-    obs.meta.knobs["COOP_E13_THREADS"] = threads;
   {
     std::string args;
     for (int i = 1; i < argc; ++i) {

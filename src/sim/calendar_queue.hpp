@@ -117,7 +117,9 @@ class CalendarQueue {
            over_.capacity();
   }
 
-  static constexpr std::size_t kChunkEntries = 32;
+  /// Entries per chunk; 16 measured lowest in memory and level in CPU
+  /// against 8 and 32 on the matrix workload (DESIGN.md §17).
+  static constexpr std::size_t kChunkEntries = 16;
 
  private:
   static constexpr std::size_t kMaxBuckets = std::size_t{1} << 16;
